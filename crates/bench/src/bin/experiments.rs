@@ -530,15 +530,15 @@ fn main() {
         };
         doc.push_str(&format!(
             "## Rank-scaling walkthrough (event-driven mpisim)\n\n\
-             The thread-backed mpisim runtime gives every virtual rank an OS\n\
-             thread, which tops out far below the paper's largest runs. The\n\
-             event-driven runtime (`pvs_mpisim::event`) multiplexes ranks as\n\
-             parked continuations over a small worker pool, with all\n\
+             mpisim's closure front end (`pvs_mpisim::run`) gives every rank\n\
+             an OS thread, which tops out far below the paper's largest runs.\n\
+             The same event-driven scheduler (`pvs_mpisim::event`) also runs\n\
+             ranks as parked continuations over a small worker pool, with all\n\
              collectives completed centrally in canonical rank order — so the\n\
              LBMHD 8192^2 production configuration (P = 8192, one 91^2-site\n\
              subgrid per rank) and weak scaling past 10^5 ranks run on a\n\
              laptop-sized host. Before any cell runs, an identity gate replays\n\
-             every app kernel on *both* runtimes at P in {IDENTITY_P:?} and\n\
+             every app kernel in *both* forms at P in {IDENTITY_P:?} and\n\
              requires bit-identical values and per-rank traffic. This table is\n\
              regenerated live by the `experiments` binary:\n\n\
              | app | ranks | sim events | p2p msgs | collectives | peak parked | host |\n\

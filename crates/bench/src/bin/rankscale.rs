@@ -16,8 +16,9 @@
 //! committed full `BENCH_mpisim.json`: every fresh cell must exist in
 //! the committed document with bit-identical model metrics.
 //!
-//! Before any cell runs, the identity gate replays every kernel on both
-//! runtimes at small P and requires bit-identical values and traffic;
+//! Before any cell runs, the identity gate replays every kernel in both
+//! forms (closure `run_scale_v1`, program `run_scale_v2`) at small P and
+//! requires bit-identical values and traffic;
 //! a divergence exits 1 without writing anything.
 //!
 //! Exit codes (the shared `pvs_bench::cli` convention): 0 success,

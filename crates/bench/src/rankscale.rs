@@ -2,18 +2,21 @@
 //! communication kernels to 10⁵ virtual ranks on the event-driven
 //! mpisim runtime.
 //!
-//! The thread-backed runtime tops out around the host's thread limit,
-//! so the paper's largest configurations (LBMHD 8192² on P = 8192, the
-//! Earth Simulator weak-scaling studies) could never be replayed
-//! rank-for-rank before. The event-driven runtime multiplexes virtual
-//! ranks over a small worker pool, so this sweep runs the per-app scale
-//! kernels (`pvs_lbmhd::scale`, `pvs_gtc::scale`, `pvs_cactus::scale`,
-//! `pvs_paratec::scale`) at rank counts up to 131 072.
+//! The closure front end (`pvs_mpisim::run`) spends an OS thread per
+//! rank, so it tops out around the host's thread limit. The paper's
+//! largest configurations (LBMHD 8192² on P = 8192, the Earth Simulator
+//! weak-scaling studies) run instead as `RankProgram` continuations the
+//! scheduler multiplexes over a small worker pool, so this sweep runs
+//! the per-app scale kernels (`pvs_lbmhd::scale`, `pvs_gtc::scale`,
+//! `pvs_cactus::scale`, `pvs_paratec::scale`) at rank counts up to
+//! 131 072.
 //!
 //! **Identity gate:** before any cell runs, every app's kernel is
-//! executed on *both* runtimes at small P and compared bit-for-bit
-//! (values and per-rank traffic). A mismatch hard-fails the whole run —
-//! scale numbers from a divergent simulator are worthless.
+//! executed in *both* forms (closure `run_scale_v1`, program
+//! `run_scale_v2`) at small P and compared bit-for-bit (values and
+//! per-rank traffic). A mismatch hard-fails the whole run — scale
+//! numbers from a program that diverged from the real kernel's closure
+//! form are worthless.
 //!
 //! The output document reuses the `pvs-bench/profile-v2` schema so the
 //! `compare` sentinel gates it exactly like `BENCH_sweep.json`. The
@@ -45,7 +48,7 @@ pub struct RankScaleCell {
 type KernelV1 = fn(usize) -> Vec<(Vec<f64>, CommStats)>;
 type KernelV2 = fn(usize, usize) -> (Vec<(Vec<f64>, CommStats)>, SimStats);
 
-/// The two runtime entry points for one application's kernel.
+/// The closure and program entry points for one application's kernel.
 fn kernels(app: &str) -> (KernelV1, KernelV2) {
     match app {
         "LBMHD" => (pvs_lbmhd::scale::run_scale_v1, pvs_lbmhd::scale::run_scale_v2),
@@ -93,10 +96,10 @@ pub fn smoke_cells() -> Vec<RankScaleCell> {
     ]
 }
 
-/// Rank counts the identity gate replays on both runtimes.
+/// Rank counts the identity gate replays in both forms.
 pub const IDENTITY_P: [usize; 3] = [2, 4, 16];
 
-/// Run every app's kernel on both runtimes at [`IDENTITY_P`] and demand
+/// Run every app's kernel in both forms at [`IDENTITY_P`] and demand
 /// bit-identical values and traffic statistics.
 pub fn verify_identity(threads: usize) -> Result<(), String> {
     for app in ["LBMHD", "GTC", "CACTUS", "PARATEC"] {

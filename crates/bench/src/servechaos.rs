@@ -33,6 +33,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -68,9 +69,16 @@ fn scenario_config(config: &str, scenario: &str) -> &'static str {
     Box::leak(format!("{config}@{scenario}").into_boxed_str())
 }
 
-/// Per-run scratch directory for a scenario's spill.
+/// Per-run scratch directory for a scenario's spill. The run counter
+/// keeps concurrent runs in one process (parallel tests) from wiping
+/// and quarantining each other's spill files.
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pvs_servechaos_{}_{name}", std::process::id()));
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "pvs_servechaos_{}_{run}_{name}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -94,7 +102,6 @@ fn with_silent_panics<T>(f: impl FnOnce() -> T) -> T {
 /// zero forever. No wall clock involved, so deadline counters are
 /// exact rather than racy.
 fn countdown(calls: u64) -> BudgetProbe {
-    use std::sync::atomic::{AtomicU64, Ordering};
     let left = AtomicU64::new(calls);
     Arc::new(move || {
         if left

@@ -1,12 +1,12 @@
-//! Weak-scaling communication kernel for Cactus on both mpisim runtimes.
+//! Weak-scaling communication kernel for Cactus on both mpisim front ends.
 //!
 //! Cactus exchanges six ghost faces over a 3D processor grid each
 //! evolution step ([`crate::halo`]) and closes the step with a global
 //! constraint-norm reduction. The schedule is fixed — no op depends on
-//! received data — so the v2 form reuses [`ScriptProgram`] directly:
+//! received data — so the program form reuses [`ScriptProgram`] directly:
 //! the same op list a [`pvs_mpisim::Comm`] closure executes, replayed by the
 //! event-driven scheduler. Received faces and the reduced norm are
-//! folded into a checksum by shared helpers so both runtimes produce
+//! folded into a checksum by shared helpers so both front ends produce
 //! comparable values.
 
 use pvs_mpisim::cart::Cart3d;
@@ -38,7 +38,7 @@ fn residual(rank: usize) -> f64 {
 }
 
 /// Fold the six received faces and the reduced norm into the kernel's
-/// output vector `[checksum, norm]` — shared by both runtimes.
+/// output vector `[checksum, norm]` — shared by both front ends.
 fn fold_output(received: &[Vec<f64>], norm: f64) -> Vec<f64> {
     let checksum = received.iter().fold(0.0, |acc, f| {
         f.iter()
@@ -80,7 +80,7 @@ fn schedule(rank: usize, cart: &Cart3d) -> Vec<Op> {
     ops
 }
 
-/// Run the kernel on the thread-backed runtime.
+/// Run the kernel through the closure front end ([`pvs_mpisim::run`]).
 pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     let cart = Cart3d::near_cubic(p);
     pvs_mpisim::run(cart.size(), move |mut comm| {
@@ -103,7 +103,7 @@ pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     })
 }
 
-/// Run the kernel on the event-driven runtime.
+/// Run the kernel as [`ScriptProgram`]s on `threads` pool workers.
 pub fn run_scale_v2(p: usize, threads: usize) -> (Vec<(Vec<f64>, CommStats)>, SimStats) {
     let cart = Cart3d::near_cubic(p);
     let report = EventSim::new(cart.size())

@@ -2,8 +2,8 @@
 //!
 //! Two layers of the stack schedule work in **simulated picoseconds**:
 //! `pvs-fault` keeps its fault plan as a time-sorted list of onset
-//! events, and `pvs-mpisim`'s event-driven runtime (mpisim v2) parks
-//! rank continuations and reschedules them at simulated timestamps.
+//! events, and `pvs-mpisim`'s event-driven scheduler parks rank
+//! continuations and reschedules them at simulated timestamps.
 //! Both need the same structure — a queue ordered by `(at_ps, insertion
 //! sequence)` — and both need it *deterministic*: equal timestamps must
 //! preserve insertion order, so replaying the same pushes always drains

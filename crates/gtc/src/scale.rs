@@ -1,13 +1,13 @@
-//! Weak-scaling communication kernel for GTC on both mpisim runtimes.
+//! Weak-scaling communication kernel for GTC on both mpisim front ends.
 //!
 //! GTC's dominant communication is the toroidal particle shift
 //! ([`crate::shift`]): particles that crossed a domain boundary hop to
 //! the next poloidal plane, possibly several planes over, and the loop
 //! repeats until a global reduction reports every particle settled.
 //! That makes the kernel *data-dependent* — the number of rounds is
-//! known only at runtime — so the v2 form is a real continuation, not a
-//! fixed script: each `resume` decides the next op from the
-//! [`Reply::MaxReduced`] that closed the previous round.
+//! known only at runtime — so the [`RankProgram`] form is a real
+//! continuation, not a fixed script: each `resume` decides the next op
+//! from the [`Reply::MaxReduced`] that closed the previous round.
 
 use pvs_mpisim::event::{EventSim, Op, RankCtx, RankProgram, Reply, SimStats, Step};
 use pvs_mpisim::{Comm, CommStats};
@@ -61,7 +61,7 @@ fn weight_sum(particles: &[Particle]) -> f64 {
     particles.iter().fold(0.0, |a, &(w, _)| a + w)
 }
 
-/// The v1 reference: shift rounds until the global max hop count is 0,
+/// The closure form: shift rounds until the global max hop count is 0,
 /// then reduce the settled weights.
 fn shift_v1(comm: &mut Comm) -> Vec<f64> {
     let rank = comm.rank();
@@ -80,7 +80,7 @@ fn shift_v1(comm: &mut Comm) -> Vec<f64> {
     comm.allreduce_sum(&[weight_sum(&particles), particles.len() as f64])
 }
 
-/// The same loop as a v2 continuation.
+/// The same loop as a [`RankProgram`] continuation.
 pub struct ShiftScaleProgram {
     particles: Vec<Particle>,
     round: u64,
@@ -157,7 +157,7 @@ impl RankProgram for ShiftScaleProgram {
     }
 }
 
-/// Run the kernel on the thread-backed runtime.
+/// Run the kernel through the closure front end ([`pvs_mpisim::run`]).
 pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     pvs_mpisim::run(p, |mut comm| {
         let out = shift_v1(&mut comm);
@@ -165,7 +165,7 @@ pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     })
 }
 
-/// Run the kernel on the event-driven runtime.
+/// Run the kernel as [`RankProgram`]s on `threads` pool workers.
 pub fn run_scale_v2(p: usize, threads: usize) -> (Vec<(Vec<f64>, CommStats)>, SimStats) {
     let report = EventSim::new(p)
         .threads(threads)

@@ -1,14 +1,15 @@
-//! Weak-scaling communication kernel for LBMHD on both mpisim runtimes.
+//! Weak-scaling communication kernel for LBMHD on both mpisim front ends.
 //!
 //! The distributed solver ([`crate::parallel`]) exchanges a one-cell
 //! ghost ring over a 2D processor grid every step. This module distils
 //! that pattern into a self-contained kernel — four ring shifts (east,
 //! west, north, south) followed by the diagnostics allreduce — written
-//! twice: as a v1 closure over [`Comm`] and as a v2
-//! [`RankProgram`] continuation. The two are pinned bit-identical at
-//! small P, which licenses the scale harness to run the v2 form at the
-//! paper's largest configurations (8192² lattice on P = 8192, weak
-//! scaling to 10⁵ ranks) where a thread per rank is impossible.
+//! twice: as a closure over [`Comm`] and as a [`RankProgram`]
+//! continuation. Both run on the same scheduler and are pinned
+//! bit-identical at small P; the scale harness runs the program form at
+//! the paper's largest configurations (8192² lattice on P = 8192, weak
+//! scaling to 10⁵ ranks), where the closure form's thread per rank is
+//! impossible.
 
 use pvs_mpisim::cart::Cart2d;
 use pvs_mpisim::event::{EventSim, Op, RankCtx, RankProgram, Reply, SimStats, Step};
@@ -45,7 +46,7 @@ fn absorb(acc: f64, data: &[f64]) -> f64 {
         .fold(acc, |a, (i, x)| a + x * (i % 7 + 1) as f64)
 }
 
-/// One full exchange + diagnostics pass over `comm` — the v1 reference.
+/// One full exchange + diagnostics pass over `comm` — the closure form.
 fn exchange_v1(comm: &mut Comm, cart: &Cart2d) -> Vec<f64> {
     let rank = comm.rank();
     let [e, w, n, s] = cart.neighbors4(rank);
@@ -63,8 +64,8 @@ fn exchange_v1(comm: &mut Comm, cart: &Cart2d) -> Vec<f64> {
     comm.allreduce_sum(&[acc, rank as f64 + 0.25])
 }
 
-/// The same kernel as a v2 continuation: each `resume` turns the reply
-/// to the previous phase into the next exchange op.
+/// The same kernel as a [`RankProgram`] continuation: each `resume`
+/// turns the reply to the previous phase into the next exchange op.
 pub struct HaloScaleProgram {
     rank: usize,
     cart: Cart2d,
@@ -130,7 +131,8 @@ impl RankProgram for HaloScaleProgram {
     }
 }
 
-/// Run the kernel on the thread-backed runtime (one OS thread per rank).
+/// Run the kernel through the closure front end ([`pvs_mpisim::run`],
+/// one OS thread per rank).
 pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     let cart = Cart2d::near_square(p);
     pvs_mpisim::run(cart.size(), move |mut comm| {
@@ -139,7 +141,8 @@ pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     })
 }
 
-/// Run the kernel on the event-driven runtime (virtual ranks on a pool).
+/// Run the kernel as [`RankProgram`]s (virtual ranks on `threads` pool
+/// workers).
 pub fn run_scale_v2(p: usize, threads: usize) -> (Vec<(Vec<f64>, CommStats)>, SimStats) {
     let cart = Cart2d::near_square(p);
     let report = EventSim::new(cart.size())

@@ -8,11 +8,12 @@
 //! system-level message copies MPI makes (§3.1–3.2 of the paper).
 //!
 //! Here the "globally addressable memory" is process memory shared between
-//! rank threads: each rank owns a window (`Vec<f64>` behind an `RwLock`)
-//! and holds handles to every other rank's window.
+//! ranks: each rank owns a window (`Vec<f64>` behind an `RwLock`) and holds
+//! handles to every other rank's window. The scheduler creates every
+//! window centrally ([`crate::Op::CoCreate`]).
 
-use crate::comm::Comm;
-use crate::tags::{self, ctag};
+use crate::comm::{unexpected, Comm};
+use crate::event::{Op, Reply};
 use std::sync::{Arc, RwLock};
 
 /// A co-array: one window of `len` doubles per rank, remotely accessible.
@@ -23,42 +24,18 @@ pub struct CoArray {
 }
 
 impl CoArray {
-    /// Assemble a co-array from pre-gathered windows (the event-driven
-    /// runtime creates every rank's window centrally in its scheduler
-    /// instead of ring-circulating handles).
+    /// Assemble a co-array from windows the scheduler created.
     pub(crate) fn from_windows(rank: usize, windows: Vec<Arc<RwLock<Vec<f64>>>>) -> Self {
         Self { rank, windows }
     }
 
     /// Collectively create a co-array with `len` elements per image.
-    /// Must be called by every rank of `comm` (it allgathers the window
-    /// handles).
+    /// Must be called by every rank of `comm`; it is charged like a ring
+    /// allgather of one origin id per step.
     pub fn create(comm: &mut Comm, len: usize) -> Self {
-        let rank = comm.rank();
-        let size = comm.size();
-        let local = Arc::new(RwLock::new(vec![0.0; len]));
-        let mut windows: Vec<Option<Arc<RwLock<Vec<f64>>>>> = vec![None; size];
-        windows[rank] = Some(local.clone());
-        // Ring-circulate the handle so every rank learns every window.
-        let mut travelling = (rank, local);
-        for step in 0..size.saturating_sub(1) {
-            let to = (rank + 1) % size;
-            let from = (rank + size - 1) % size;
-            let tag = ctag(tags::NS_CAF, step as u64);
-            // Frame the origin rank in the tag stream: send origin first.
-            comm.send_raw(to, tag, vec![travelling.0 as f64]);
-            comm.send_window(to, tag, travelling.1);
-            let origin = comm.recv_raw(from, tag)[0] as usize;
-            let w = comm.recv_window(from, tag);
-            windows[origin] = Some(w.clone());
-            travelling = (origin, w);
-        }
-        Self {
-            rank,
-            windows: windows
-                .into_iter()
-                .map(|w| w.expect("all windows gathered"))
-                .collect(),
+        match comm.link.call(Op::CoCreate { len }) {
+            Reply::CoCreated(ca) => ca,
+            other => unexpected(other),
         }
     }
 

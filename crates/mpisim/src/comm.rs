@@ -1,36 +1,30 @@
-//! Two-sided communication: ranks, typed messages, collectives.
+//! The closure front end: ranks as blocking OS threads over the event
+//! scheduler.
 //!
-//! Collectives compute **canonical, rank-order results**: every rank
-//! folds contributions in rank order 0..P, so all ranks return bitwise
-//! identical values even for non-associative floating-point sums. Their
-//! internal messages ride the reserved collective tag namespace
-//! ([`crate::tags`]); application tags must keep the top bit clear.
+//! Each rank closure runs on its own scoped thread and sees ordinary
+//! blocking calls, but every method only posts an [`Op`] to the
+//! [`EventSim`] scheduler and waits for the matching [`Reply`]. A
+//! private [`RankProgram`] adapter hands each `(RankCtx, Reply)` to its
+//! thread and returns the thread's next op, so matching, collective
+//! folds, traffic charging and fault draws all live in
+//! [`crate::event`]. Collectives return **canonical, rank-order
+//! results**: every rank receives the bitwise identical value even for
+//! non-associative floating-point sums.
+//!
+//! Because the scheduler resumes at most one op per rank at a time, the
+//! threads run like coroutines: a rank thread executes only between
+//! receiving a reply and posting its next op. A receive or collective
+//! that no rank can complete ends in the scheduler's "deadlocked"
+//! diagnosis, and a panicking rank re-raises its own payload from
+//! [`run`].
 
-use crate::tags::{self, assert_user_tag, ctag};
-use std::collections::VecDeque;
+use crate::event::{EventSim, Op, RankCtx, RankProgram, Reply, Step};
+use crate::fault::RankOutcome;
+use crate::tags::assert_user_tag;
+use std::any::Any;
+use std::cell::RefCell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, RwLock};
-
-/// Payload of an in-flight message.
-#[derive(Debug, Clone)]
-pub(crate) enum Payload {
-    /// Floating-point data (the applications exchange f64 arrays).
-    Data(Vec<f64>),
-    /// A shared window handle, used once during co-array creation.
-    Window(Arc<RwLock<Vec<f64>>>),
-    /// Tombstone for a message whose every send attempt was dropped by
-    /// fault injection: carries the sender's simulated expiry time so the
-    /// receiver observes the timeout instead of blocking forever (see
-    /// [`crate::fault`]).
-    Lost { expired_at_ps: u64 },
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct Packet {
-    pub src: usize,
-    pub tag: u64,
-    pub payload: Payload,
-}
 
 /// Communication statistics for one rank, used to calibrate the
 /// performance model's communication phases.
@@ -43,8 +37,7 @@ pub struct CommStats {
 }
 
 /// A pending nonblocking receive (see [`Comm::irecv`]). Sends complete
-/// immediately in this runtime (unbounded channels), so only receives need
-/// request objects.
+/// immediately in this runtime, so only receives need request objects.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "complete the request with Comm::wait"]
 pub struct RecvRequest {
@@ -52,189 +45,178 @@ pub struct RecvRequest {
     tag: u64,
 }
 
+/// Unwind payload of a rank thread whose scheduler went away, and of a
+/// scheduler whose rank thread went away. Never reported as the cause
+/// of a failed run: the panic that started the unwind is.
+struct Unwound;
+
+fn unwound() -> ! {
+    resume_unwind(Box::new(Unwound))
+}
+
+/// A rank thread's connection to the scheduler: post one op, block for
+/// its reply. `None` on `ops` reports that the closure returned.
+pub(crate) struct Link {
+    ops: Sender<Option<Op>>,
+    replies: Receiver<(RankCtx, Reply)>,
+    ctx: RankCtx,
+}
+
+impl Link {
+    /// Wait for the scheduler's first resume, which carries the context.
+    fn connect(ops: Sender<Option<Op>>, replies: Receiver<(RankCtx, Reply)>) -> Self {
+        let Ok((ctx, _start)) = replies.recv() else {
+            unwound()
+        };
+        Link { ops, replies, ctx }
+    }
+
+    /// This rank's context as of the last reply.
+    pub(crate) fn ctx(&self) -> &RankCtx {
+        &self.ctx
+    }
+
+    /// Perform `op` and block until the scheduler completes it.
+    pub(crate) fn call(&mut self, op: Op) -> Reply {
+        if self.ops.send(Some(op)).is_err() {
+            unwound();
+        }
+        let Ok((ctx, reply)) = self.replies.recv() else {
+            unwound()
+        };
+        self.ctx = ctx;
+        reply
+    }
+}
+
+/// Panic on a reply that does not answer the op just posted.
+pub(crate) fn unexpected(reply: Reply) -> ! {
+    unreachable!("the scheduler answered with {reply:?}")
+}
+
+/// The scheduler side of a [`Link`]: each resume forwards the reply to
+/// the rank thread and returns the op it posts next.
+struct ThreadRank {
+    replies: Sender<(RankCtx, Reply)>,
+    ops: Receiver<Option<Op>>,
+}
+
+impl RankProgram for ThreadRank {
+    type Output = ();
+
+    fn resume(&mut self, ctx: &RankCtx, reply: Reply) -> Step<()> {
+        // A send error means the thread is gone; `recv` reports it.
+        let _ = self.replies.send((*ctx, reply));
+        match self.ops.recv() {
+            Ok(Some(op)) => Step::Op(op),
+            Ok(None) => Step::Finish(()),
+            // The rank panicked; its own payload is re-raised by `launch`.
+            Err(_) => unwound(),
+        }
+    }
+}
+
+/// Run `body` on one scoped thread per rank the scheduler `sim` builds,
+/// and collect each rank's value and fault accounting in rank order.
+///
+/// If a rank panics, its payload is re-raised (the lowest rank's, if
+/// several did); otherwise a scheduler panic, such as a deadlock
+/// diagnosis, is.
+pub(crate) fn launch<T, F>(sim: EventSim, body: F) -> Vec<RankOutcome<T>>
+where
+    T: Send,
+    F: Fn(Link) -> T + Sync,
+{
+    let body = &body;
+    std::thread::scope(|scope| {
+        let handles = RefCell::new(Vec::new());
+        let report = catch_unwind(AssertUnwindSafe(|| {
+            sim.run(|_rank, _size| {
+                let (ops, op_rx) = channel();
+                let (reply_tx, replies) = channel();
+                handles.borrow_mut().push(scope.spawn(move || {
+                    let done = ops.clone();
+                    let value = body(Link::connect(ops, replies));
+                    let _ = done.send(None);
+                    value
+                }));
+                ThreadRank {
+                    replies: reply_tx,
+                    ops: op_rx,
+                }
+            })
+        }));
+        // The scheduler and every `ThreadRank` are gone, so each thread
+        // has returned or is unwinding with `Unwound`.
+        let mut values = Vec::new();
+        let mut rank_panic: Option<Box<dyn Any + Send>> = None;
+        for handle in handles.into_inner() {
+            match handle.join() {
+                Ok(value) => values.push(value),
+                Err(payload) if !payload.is::<Unwound>() => {
+                    rank_panic.get_or_insert(payload);
+                }
+                Err(_) => {}
+            }
+        }
+        if let Some(payload) = rank_panic {
+            resume_unwind(payload);
+        }
+        let report = report.unwrap_or_else(|payload| resume_unwind(payload));
+        let mut values = values.into_iter();
+        report
+            .outcomes
+            .into_iter()
+            .map(|o| match o {
+                RankOutcome::Completed { faults, .. } => RankOutcome::Completed {
+                    // INFALLIBLE: every completed rank's thread returned.
+                    value: values.next().expect("one value per completed rank"),
+                    faults,
+                },
+                RankOutcome::Failed => RankOutcome::Failed,
+            })
+            .collect()
+    })
+}
+
 /// A rank's endpoint in the communicator (the `MPI_COMM_WORLD` analogue).
 pub struct Comm {
-    rank: usize,
-    size: usize,
-    senders: Vec<Sender<Packet>>,
-    receiver: Receiver<Packet>,
-    /// Received-but-unmatched packets (tag/source matching buffer).
-    pending: VecDeque<Packet>,
-    stats: CommStats,
+    pub(crate) link: Link,
 }
 
 impl Comm {
-    pub(crate) fn endpoint(
-        rank: usize,
-        size: usize,
-        senders: Vec<Sender<Packet>>,
-        receiver: Receiver<Packet>,
-    ) -> Self {
-        Comm {
-            rank,
-            size,
-            senders,
-            receiver,
-            pending: VecDeque::new(),
-            stats: CommStats::default(),
-        }
-    }
-
     /// This rank's id in `[0, size)`.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.link.ctx().rank
     }
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.size
+        self.link.ctx().size
     }
 
     /// Traffic statistics so far.
     pub fn stats(&self) -> CommStats {
-        self.stats
+        self.link.ctx().comm
     }
 
     /// Send `data` to rank `dst` with a matching `tag`. The tag must
-    /// keep [`tags::COLLECTIVE_BIT`] clear — the top bit is reserved for
-    /// the runtime's collectives.
+    /// keep [`crate::tags::COLLECTIVE_BIT`] clear — the top bit is
+    /// reserved for the runtime's collectives.
     pub fn send(&mut self, dst: usize, tag: u64, data: Vec<f64>) {
-        assert_user_tag(tag);
-        self.send_raw(dst, tag, data);
-    }
-
-    /// Tag-unchecked send used by the collectives (their tags carry the
-    /// reserved bit on purpose).
-    pub(crate) fn send_raw(&mut self, dst: usize, tag: u64, data: Vec<f64>) {
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += (data.len() * 8) as u64;
-        // A rank that already returned has dropped its receiver; the
-        // packet could never be read, so dropping it preserves the
-        // buffered-and-never-matched semantics of a live endpoint.
-        let _ = self.senders[dst].send(Packet {
-            src: self.rank,
-            tag,
-            payload: Payload::Data(data),
-        });
+        match self.link.call(Op::Send { dst, tag, data }) {
+            Reply::Sent(Ok(())) => {}
+            other => unexpected(other),
+        }
     }
 
     /// Blocking receive of a message from `src` with `tag`. Messages from
     /// other sources/tags arriving first are buffered and matched later.
     /// Like [`Comm::send`], the tag must stay in user space.
     pub fn recv(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        assert_user_tag(tag);
-        self.recv_raw(src, tag)
-    }
-
-    /// Tag-unchecked receive used by the collectives.
-    pub(crate) fn recv_raw(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        // Check the buffer first.
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|p| p.src == src && p.tag == tag && matches!(p.payload, Payload::Data(_)))
-        {
-            match self.pending.remove(pos).expect("index valid").payload {
-                Payload::Data(d) => return d,
-                _ => unreachable!(),
-            }
-        }
-        loop {
-            // INFALLIBLE: every peer holds a sender for this rank until
-            // the scope ends, so the channel cannot disconnect mid-run.
-            let p = self.receiver.recv().expect("senders alive");
-            if p.src == src && p.tag == tag {
-                match p.payload {
-                    Payload::Data(d) => return d,
-                    _ => {
-                        self.pending.push_back(p);
-                        continue;
-                    }
-                }
-            }
-            self.pending.push_back(p);
-        }
-    }
-
-    /// Faulty-mode receive: matches either a data packet or a loss
-    /// tombstone for `(src, tag)`, whichever the sender emitted. `Err`
-    /// carries the sender's simulated expiry time in picoseconds.
-    pub(crate) fn recv_or_lost(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, u64> {
-        if let Some(pos) = self.pending.iter().position(|p| {
-            p.src == src
-                && p.tag == tag
-                && matches!(p.payload, Payload::Data(_) | Payload::Lost { .. })
-        }) {
-            match self.pending.remove(pos).expect("index valid").payload {
-                Payload::Data(d) => return Ok(d),
-                Payload::Lost { expired_at_ps } => return Err(expired_at_ps),
-                _ => unreachable!(),
-            }
-        }
-        loop {
-            // INFALLIBLE: every peer holds a sender for this rank until
-            // the scope ends, so the channel cannot disconnect mid-run.
-            let p = self.receiver.recv().expect("senders alive");
-            if p.src == src && p.tag == tag {
-                match p.payload {
-                    Payload::Data(d) => return Ok(d),
-                    Payload::Lost { expired_at_ps } => return Err(expired_at_ps),
-                    _ => {
-                        self.pending.push_back(p);
-                        continue;
-                    }
-                }
-            }
-            self.pending.push_back(p);
-        }
-    }
-
-    /// Deliver a loss tombstone in place of a message whose every attempt
-    /// was dropped, so the receiver's faulty-mode receive unblocks with a
-    /// timeout instead of deadlocking.
-    pub(crate) fn send_lost(&mut self, dst: usize, tag: u64, expired_at_ps: u64) {
-        // See `send_raw`: a finished receiver makes the tombstone moot.
-        let _ = self.senders[dst].send(Packet {
-            src: self.rank,
-            tag,
-            payload: Payload::Lost { expired_at_ps },
-        });
-    }
-
-    pub(crate) fn send_window(&mut self, dst: usize, tag: u64, w: Arc<RwLock<Vec<f64>>>) {
-        // See `send_raw`: a finished receiver makes the handle moot.
-        let _ = self.senders[dst].send(Packet {
-            src: self.rank,
-            tag,
-            payload: Payload::Window(w),
-        });
-    }
-
-    pub(crate) fn recv_window(&mut self, src: usize, tag: u64) -> Arc<RwLock<Vec<f64>>> {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|p| p.src == src && p.tag == tag && matches!(p.payload, Payload::Window(_)))
-        {
-            match self.pending.remove(pos).expect("index valid").payload {
-                Payload::Window(w) => return w,
-                _ => unreachable!(),
-            }
-        }
-        loop {
-            // INFALLIBLE: every peer holds a sender for this rank until
-            // the scope ends, so the channel cannot disconnect mid-run.
-            let p = self.receiver.recv().expect("senders alive");
-            if p.src == src && p.tag == tag {
-                match p.payload {
-                    Payload::Window(w) => return w,
-                    _ => {
-                        self.pending.push_back(p);
-                        continue;
-                    }
-                }
-            }
-            self.pending.push_back(p);
+        match self.link.call(Op::Recv { src, tag }) {
+            Reply::Received(Ok(data)) => data,
+            other => unexpected(other),
         }
     }
 
@@ -259,41 +241,31 @@ impl Comm {
 
     /// Combined send + receive with the same partner (halo exchanges).
     pub fn sendrecv(&mut self, partner: usize, tag: u64, data: Vec<f64>) -> Vec<f64> {
-        assert_user_tag(tag);
-        if partner == self.rank {
-            return data;
+        match self.link.call(Op::Sendrecv { partner, tag, data }) {
+            Reply::Exchanged(Ok(data)) => data,
+            other => unexpected(other),
         }
-        self.send_raw(partner, tag, data);
-        self.recv_raw(partner, tag)
     }
 
-    /// Synchronize all ranks (dissemination barrier).
+    /// Synchronize all ranks (charged as a dissemination barrier).
     pub fn barrier(&mut self) {
-        let mut round = 0u64;
-        let mut dist = 1;
-        while dist < self.size {
-            let to = (self.rank + dist) % self.size;
-            let from = (self.rank + self.size - dist) % self.size;
-            let tag = ctag(tags::NS_BARRIER, round);
-            self.send_raw(to, tag, Vec::new());
-            let _ = self.recv_raw(from, tag);
-            dist *= 2;
-            round += 1;
+        match self.link.call(Op::Barrier) {
+            Reply::BarrierDone(Ok(())) => {}
+            other => unexpected(other),
         }
     }
 
-    /// Element-wise sum allreduce.
-    ///
-    /// Implemented as a gather-to-all ring, but folded in **canonical
-    /// rank order**: the packet received at step `s` from the ring
-    /// predecessor originated at rank `(me − s − 1) mod P`, so each rank
-    /// can index every contribution by its origin and reduce them as
-    /// x₀ + x₁ + … + x_{P−1}. Every rank therefore returns the bitwise
-    /// identical vector even though floating-point addition is not
-    /// associative — ring position no longer leaks into the result.
+    /// Element-wise sum allreduce, folded in **canonical rank order**
+    /// x₀ + x₁ + … + x_{P−1} (charged as a gather-to-all ring), so every
+    /// rank returns the bitwise identical vector even though
+    /// floating-point addition is not associative.
     pub fn allreduce_sum(&mut self, data: &[f64]) -> Vec<f64> {
-        let contribs = self.ring_contributions(tags::NS_ALLREDUCE_SUM, data);
-        fold_sum_in_rank_order(&contribs)
+        match self.link.call(Op::AllreduceSum {
+            data: data.to_vec(),
+        }) {
+            Reply::Reduced(Ok(sum)) => sum,
+            other => unexpected(other),
+        }
     }
 
     /// Scalar sum allreduce.
@@ -304,112 +276,40 @@ impl Comm {
     /// Max allreduce for a scalar, folded in canonical rank order like
     /// [`Comm::allreduce_sum`] (max is order-sensitive for NaN inputs).
     pub fn allreduce_max_scalar(&mut self, x: f64) -> f64 {
-        let contribs = self.ring_contributions(tags::NS_ALLREDUCE_MAX, &[x]);
-        contribs
-            .iter()
-            .skip(1)
-            .fold(contribs[0][0], |acc, c| acc.max(c[0]))
-    }
-
-    /// The shared gather phase of the ring allreduces: circulate every
-    /// rank's contribution and return them indexed by origin rank.
-    fn ring_contributions(&mut self, ns: u64, data: &[f64]) -> Vec<Vec<f64>> {
-        let mut contribs: Vec<Vec<f64>> = vec![Vec::new(); self.size];
-        let mut travelling = data.to_vec();
-        contribs[self.rank] = data.to_vec();
-        for step in 0..self.size.saturating_sub(1) {
-            let to = (self.rank + 1) % self.size;
-            let from = (self.rank + self.size - 1) % self.size;
-            let tag = ctag(ns, step as u64);
-            self.send_raw(to, tag, travelling);
-            travelling = self.recv_raw(from, tag);
-            // At step s the predecessor hands over the contribution that
-            // originated s+1 positions behind us on the ring.
-            let origin = (self.rank + self.size - step - 1) % self.size;
-            contribs[origin] = travelling.clone();
+        match self.link.call(Op::AllreduceMaxScalar { x }) {
+            Reply::MaxReduced(Ok(max)) => max,
+            other => unexpected(other),
         }
-        contribs
     }
 
-    /// Gather each rank's `data` on every rank (allgather), concatenated in
-    /// rank order (the output is canonical by construction: slot `i` holds
-    /// exactly the bytes rank `i` contributed).
+    /// Gather each rank's `data` on every rank (allgather): slot `i`
+    /// holds exactly the bytes rank `i` contributed.
     pub fn allgather(&mut self, data: &[f64]) -> Vec<Vec<f64>> {
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); self.size];
-        out[self.rank] = data.to_vec();
-        let mut travelling = (self.rank, data.to_vec());
-        for step in 0..self.size.saturating_sub(1) {
-            let to = (self.rank + 1) % self.size;
-            let from = (self.rank + self.size - 1) % self.size;
-            let tag = ctag(tags::NS_ALLGATHER, step as u64);
-            let mut framed = vec![travelling.0 as f64];
-            framed.extend_from_slice(&travelling.1);
-            self.send_raw(to, tag, framed);
-            let incoming = self.recv_raw(from, tag);
-            let origin = incoming[0] as usize;
-            let body = incoming[1..].to_vec();
-            out[origin] = body.clone();
-            travelling = (origin, body);
+        match self.link.call(Op::Allgather {
+            data: data.to_vec(),
+        }) {
+            Reply::Gathered(rows) => rows,
+            other => unexpected(other),
         }
-        out
     }
 
-    /// Broadcast `data` from `root` to all ranks over a binomial tree:
-    /// log₂(P) rounds instead of the old O(P) serial send loop at the
-    /// root. Non-root ranks receive from their tree parent and forward to
-    /// their children (MPICH's relative-rank/mask schedule).
-    pub fn broadcast(&mut self, root: usize, mut data: Vec<f64>) -> Vec<f64> {
-        let relative = (self.rank + self.size - root) % self.size;
-        let tag = ctag(tags::NS_BCAST, 0);
-        let mut mask = 1usize;
-        while mask < self.size {
-            if relative & mask != 0 {
-                let src = (self.rank + self.size - mask) % self.size;
-                data = self.recv_raw(src, tag);
-                break;
-            }
-            mask <<= 1;
+    /// Broadcast `data` from `root` to all ranks (charged as a binomial
+    /// tree: log₂(P) rounds, each rank sending once per child).
+    pub fn broadcast(&mut self, root: usize, data: Vec<f64>) -> Vec<f64> {
+        match self.link.call(Op::Broadcast { root, data }) {
+            Reply::Broadcasted(data) => data,
+            other => unexpected(other),
         }
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < self.size {
-                let dst = (self.rank + mask) % self.size;
-                self.send_raw(dst, tag, data.clone());
-            }
-            mask >>= 1;
-        }
-        data
     }
 
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; returns what
     /// every rank sent to us, indexed by source.
     pub fn alltoallv(&mut self, sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        assert_eq!(sends.len(), self.size);
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); self.size];
-        // Rotation schedule to avoid head-of-line hotspots.
-        let mut sends = sends;
-        out[self.rank] = std::mem::take(&mut sends[self.rank]);
-        for round in 1..self.size {
-            let dst = (self.rank + round) % self.size;
-            let src = (self.rank + self.size - round) % self.size;
-            let tag = ctag(tags::NS_ALLTOALL, round as u64);
-            self.send_raw(dst, tag, std::mem::take(&mut sends[dst]));
-            out[src] = self.recv_raw(src, tag);
-        }
-        out
-    }
-}
-
-/// Left-fold per-rank contributions as x₀ + x₁ + … + x_{P−1} — the
-/// canonical reduction order shared by both runtimes.
-pub(crate) fn fold_sum_in_rank_order(contribs: &[Vec<f64>]) -> Vec<f64> {
-    let mut acc = contribs[0].clone();
-    for c in &contribs[1..] {
-        for (a, b) in acc.iter_mut().zip(c) {
-            *a += *b;
+        match self.link.call(Op::Alltoallv { sends }) {
+            Reply::Alltoall(rows) => rows,
+            other => unexpected(other),
         }
     }
-    acc
 }
 
 /// Launch `nranks` threads, each running `f` with its own [`Comm`]
@@ -419,30 +319,14 @@ where
     T: Send,
     F: Fn(Comm) -> T + Send + Sync,
 {
-    assert!(nranks >= 1);
-    let mut senders = Vec::with_capacity(nranks);
-    let mut receivers = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (s, r) = channel::<Packet>();
-        senders.push(s);
-        receivers.push(r);
-    }
-    let f = &f;
-    let senders = &senders;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, receiver) in receivers.into_iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                f(Comm::endpoint(rank, nranks, senders.clone(), receiver))
-            }));
-        }
-        handles
-            .into_iter()
-            // INFALLIBLE: a panicked rank is a programming error in the
-            // rank closure; re-raising it here is the intended behaviour.
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
-    })
+    launch(EventSim::new(nranks), |link| f(Comm { link }))
+        .into_iter()
+        .map(|o| match o {
+            RankOutcome::Completed { value, .. } => value,
+            // INFALLIBLE: a healthy simulation fails no rank.
+            RankOutcome::Failed => unreachable!("failed rank in a healthy run"),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -691,17 +575,47 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved collective bit")]
     fn reserved_tags_are_rejected_on_send() {
-        let (s, r) = channel();
-        let mut c = Comm::endpoint(0, 1, vec![s], r);
-        c.send(0, crate::tags::COLLECTIVE_BIT | 5, vec![1.0]);
+        run(1, |mut c| {
+            c.send(0, crate::tags::COLLECTIVE_BIT | 5, vec![1.0])
+        });
     }
 
     #[test]
     #[should_panic(expected = "reserved collective bit")]
     fn reserved_tags_are_rejected_on_irecv() {
-        let (s, r) = channel();
-        let mut c = Comm::endpoint(0, 1, vec![s], r);
-        let _ = c.irecv(0, crate::tags::COLLECTIVE_BIT);
+        run(1, |mut c| {
+            let _ = c.irecv(0, crate::tags::COLLECTIVE_BIT);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn a_rank_panic_is_re_raised_with_its_own_payload() {
+        run(4, |mut c| {
+            if c.rank() == 2 {
+                panic!("boom");
+            }
+            // The survivors block in a collective rank 2 never enters.
+            c.barrier();
+        });
+    }
+
+    #[test]
+    fn an_unmatched_recv_is_diagnosed_not_hung() {
+        let err = std::panic::catch_unwind(|| {
+            run(2, |mut c| {
+                if c.rank() == 1 {
+                    let _ = c.recv(0, 9);
+                }
+            })
+        })
+        .expect_err("must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("deadlocked"), "{msg}");
+        assert!(
+            msg.contains("rank 1 waiting on recv(src=0, tag=0x9)"),
+            "{msg}"
+        );
     }
 
     #[test]

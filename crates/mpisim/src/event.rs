@@ -1,15 +1,16 @@
-//! mpisim v2 — the event-driven rank runtime.
+//! The event-driven rank runtime: the one implementation of message
+//! matching, collectives, traffic charging and fault draws.
 //!
-//! The thread-backed runtime ([`crate::comm::run`]) spends one OS thread
-//! per rank, which caps simulations far below the scales the related
-//! scale studies run natively (weak scaling to 10⁵ ranks). This module
-//! removes the cap: virtual ranks are **continuation-style tasks**
-//! multiplexed over the shared [`pvs_core::ThreadPool`], scheduled by
-//! the same simulated-picosecond event core ([`pvs_core::EventQueue`])
-//! that drives the fault planner. A rank blocked in a receive or a
-//! collective *parks* — its continuation is keyed on what it waits for
-//! and rescheduled when the matching packet arrives or the collective
-//! completes — so P is bounded by memory, not by thread count.
+//! Virtual ranks are **continuation-style tasks** multiplexed over the
+//! shared [`pvs_core::ThreadPool`], scheduled by the simulated-picosecond
+//! event core ([`pvs_core::EventQueue`]) that also drives the fault
+//! planner. A rank blocked in a receive or a collective *parks* — its
+//! continuation is keyed on what it waits for and rescheduled when the
+//! matching packet arrives or the collective completes — so P is bounded
+//! by memory, not by thread count (the weak-scaling skeletons run 10⁵
+//! ranks). The closure API ([`crate::run`], [`crate::run_faulty`]) is a
+//! blocking front end on this scheduler: each closure thread is one
+//! [`RankProgram`] that posts its ops and waits for the replies.
 //!
 //! ## Programming model
 //!
@@ -36,24 +37,18 @@
 //! ## Collectives
 //!
 //! Collectives are computed centrally when every participant has
-//! entered: values are folded in **canonical rank order** (identical to
-//! the fixed v1 collectives) and the per-rank [`CommStats`]/
-//! [`FaultStats`] that v1's explicit message schedule would have
-//! produced are charged arithmetically from the same schedule, so the
-//! two runtimes agree bit-for-bit on results *and* traffic accounting.
-//! Under fault injection every scheduled message replays the identical
-//! seeded drop/delay draws v1 makes (the draw is a pure function of the
-//! message coordinates).
-//!
-//! One intended divergence: when a faulty collective message exhausts
-//! its retries, v1's ring deadlocks for P > 2 (the erroring rank stops
-//! forwarding and its successors block forever); v2 instead fails every
-//! participant deterministically with the first timeout in schedule
-//! order. Conformance is therefore gated on regimes where retries
-//! succeed, which both runtimes complete.
+//! entered: values are folded in **canonical rank order**, and each
+//! rank's [`CommStats`] is charged arithmetically from a fixed message
+//! schedule (dissemination barrier, gather-to-all ring allreduce and
+//! allgather, binomial-tree broadcast, rotation all-to-all). Under fault
+//! injection the barrier and sum allreduce replay that schedule message
+//! by message, each drawing its own seeded drop/delay decisions (the
+//! draw is a pure function of the message coordinates). A message that
+//! exhausts its retries fails every participant with the first timeout
+//! in schedule order.
 
 use crate::caf::CoArray;
-use crate::comm::{fold_sum_in_rank_order, CommStats};
+use crate::comm::CommStats;
 use crate::fault::{
     attempt_lost, message_delayed, retry_backoff_ps, FaultError, FaultSpec, FaultStats,
     RankOutcome,
@@ -130,7 +125,7 @@ pub enum Op {
 
 /// The completion of the previously requested [`Op`], handed to
 /// [`RankProgram::resume`]. In a healthy simulation every `Result` is
-/// `Ok`; faulty simulations surface the same [`FaultError`]s v1 does.
+/// `Ok`; faulty simulations surface [`FaultError`]s.
 #[derive(Debug, Clone)]
 pub enum Reply {
     /// First resume of the program; no op has completed yet.
@@ -334,10 +329,9 @@ impl EventSim {
         self
     }
 
-    /// Inject faults: every message replays the seeded drop/delay draws
-    /// [`crate::run_faulty`] makes, and ranks in the failed set never
-    /// execute. Mirrors v1's faulty surface — only the collectives
-    /// [`FaultSpec`]-mode v1 offers (barrier, sum allreduce) are legal.
+    /// Inject faults: every message makes its seeded drop/delay draws,
+    /// and ranks in the failed set never execute. Only the collectives
+    /// [`crate::FaultyComm`] offers (barrier, sum allreduce) are legal.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         assert!(spec.max_attempts >= 1, "at least one send attempt");
         self.faults = Some(spec);
@@ -413,8 +407,8 @@ impl EventSim {
 }
 
 /// Run `nranks` virtual ranks through the event-driven scheduler and
-/// collect their outputs in rank order — the v2 analogue of
-/// [`crate::comm::run`].
+/// collect their outputs in rank order — the [`RankProgram`] analogue
+/// of [`crate::comm::run`].
 pub fn run_events<P, F>(nranks: usize, make: F) -> Vec<P::Output>
 where
     P: RankProgram,
@@ -431,7 +425,7 @@ struct SimConfig {
     alive: Vec<bool>,
 }
 
-/// A packet in a virtual mailbox (the v2 analogue of `comm::Packet`).
+/// A packet in a virtual mailbox.
 #[derive(Debug, Clone)]
 struct SimPacket {
     src: usize,
@@ -561,7 +555,7 @@ impl<P: RankProgram> Scheduler<P> {
     /// Append `packet` to `dst`'s mailbox and wake `dst` if it parks on
     /// a matching receive. Packets toward failed ranks are blackholed
     /// (a dead node's NIC still sinks traffic); packets toward finished
-    /// ranks are buffered and never read, exactly like v1's channels.
+    /// ranks are buffered and never read.
     fn deliver(&mut self, dst: usize, packet: SimPacket) {
         let Some(slot) = self.slots[dst].as_mut() else {
             return; // blackhole: dst is in the failed set
@@ -621,8 +615,7 @@ impl<P: RankProgram> Scheduler<P> {
     }
 
     /// The queue drained: every surviving rank must have finished, or
-    /// the program set deadlocked (mirrors a hung v1 run, but with a
-    /// diagnosis instead of a silent hang).
+    /// the program set deadlocked (a diagnosis instead of a silent hang).
     fn check_quiescent(&self) {
         let mut stuck = Vec::new();
         for (rank, slot) in self.slots.iter().enumerate() {
@@ -746,11 +739,8 @@ fn run_local<P: RankProgram>(cfg: &SimConfig, rank: usize, mut slot: RankSlot<P>
                 collective => {
                     if cfg.faulty_mode {
                         assert!(
-                            matches!(
-                                collective,
-                                Op::Barrier | Op::AllreduceSum { .. }
-                            ),
-                            "{collective:?} has no faulty-mode counterpart in v1 \
+                            matches!(collective, Op::Barrier | Op::AllreduceSum { .. }),
+                            "{collective:?} has no faulty mode \
                              (FaultyComm offers barrier and sum allreduce only)"
                         );
                     }
@@ -774,9 +764,10 @@ fn run_local<P: RankProgram>(cfg: &SimConfig, rank: usize, mut slot: RankSlot<P>
     }
 }
 
-/// The v2 send path: healthy mode charges traffic and emits the packet;
-/// faulty mode replays v1's seeded drop/delay/backoff decisions first.
-/// Loopback packets land directly in the rank's own mailbox.
+/// The send path: charge the message (faulty mode draws its drops and
+/// delays first), then emit the packet — or, when every attempt was
+/// lost, a tombstone carrying the sender's expiry clock. Loopback packets
+/// land directly in the rank's own mailbox.
 fn local_send<P: RankProgram>(
     cfg: &SimConfig,
     slot: &mut RankSlot<P>,
@@ -789,57 +780,69 @@ fn local_send<P: RankProgram>(
     if !cfg.alive[dst] {
         return Err(FaultError::RankFailed { rank: dst });
     }
-    if cfg.faulty_mode && dst != rank {
-        let spec = &cfg.spec;
-        let mut attempt = 0u32;
-        while attempt < spec.max_attempts && attempt_lost(spec, rank, dst, tag, attempt) {
-            slot.ctx.faults.drops += 1;
-            let backoff = retry_backoff_ps(spec.base_backoff_ps, attempt);
-            slot.ctx.faults.backoff_ps = slot.ctx.faults.backoff_ps.saturating_add(backoff);
-            slot.ctx.clock_ps = slot.ctx.clock_ps.saturating_add(backoff);
-            attempt += 1;
-        }
-        if attempt == spec.max_attempts {
-            slot.ctx.faults.timeouts += 1;
-            outbox.push((
-                dst,
-                SimPacket {
-                    src: rank,
-                    tag,
-                    payload: SimPayload::Lost {
-                        expired_at_ps: slot.ctx.clock_ps,
-                    },
-                },
-            ));
-            return Err(FaultError::Timeout {
-                peer: dst,
-                tag,
-                attempts: attempt,
-                expired_at_ps: slot.ctx.clock_ps,
-            });
-        }
-        slot.ctx.faults.retries += attempt as u64;
-        if message_delayed(spec, rank, dst, tag) {
-            slot.ctx.faults.delays += 1;
-            slot.ctx.faults.delay_ps += spec.delay_ps;
-            slot.ctx.clock_ps += spec.delay_ps;
-        }
-    }
-    if cfg.faulty_mode {
-        slot.ctx.faults.delivered += 1;
-    }
-    slot.ctx.comm.messages_sent += 1;
-    slot.ctx.comm.bytes_sent += (data.len() * 8) as u64;
+    let charged = charge_send(cfg, &mut slot.ctx, dst, tag, (data.len() * 8) as u64);
+    let payload = match charged {
+        Ok(()) => SimPayload::Data(data),
+        Err(_) => SimPayload::Lost {
+            expired_at_ps: slot.ctx.clock_ps,
+        },
+    };
     let packet = SimPacket {
         src: rank,
         tag,
-        payload: SimPayload::Data(data),
+        payload,
     };
     if dst == rank {
         slot.mailbox.push_back(packet);
     } else {
         outbox.push((dst, packet));
     }
+    charged
+}
+
+/// Charge one message from `ctx.rank` to `dst` of `bytes` payload bytes.
+/// In faulty mode each attempt first draws its seeded drop, backing off
+/// exponentially on the sender's clock; a delivered message then draws
+/// its delay. Loopback never drops. `Err` is the sender's timeout once
+/// `max_attempts` attempts are lost; nothing is delivered then.
+fn charge_send(
+    cfg: &SimConfig,
+    ctx: &mut RankCtx,
+    dst: usize,
+    tag: u64,
+    bytes: u64,
+) -> Result<(), FaultError> {
+    if cfg.faulty_mode {
+        let spec = &cfg.spec;
+        if dst != ctx.rank {
+            let mut attempt = 0u32;
+            while attempt < spec.max_attempts && attempt_lost(spec, ctx.rank, dst, tag, attempt) {
+                ctx.faults.drops += 1;
+                let backoff = retry_backoff_ps(spec.base_backoff_ps, attempt);
+                ctx.faults.backoff_ps = ctx.faults.backoff_ps.saturating_add(backoff);
+                ctx.clock_ps = ctx.clock_ps.saturating_add(backoff);
+                attempt += 1;
+            }
+            if attempt == spec.max_attempts {
+                ctx.faults.timeouts += 1;
+                return Err(FaultError::Timeout {
+                    peer: dst,
+                    tag,
+                    attempts: attempt,
+                    expired_at_ps: ctx.clock_ps,
+                });
+            }
+            ctx.faults.retries += attempt as u64;
+            if message_delayed(spec, ctx.rank, dst, tag) {
+                ctx.faults.delays += 1;
+                ctx.faults.delay_ps += spec.delay_ps;
+                ctx.clock_ps += spec.delay_ps;
+            }
+        }
+        ctx.faults.delivered += 1;
+    }
+    ctx.comm.messages_sent += 1;
+    ctx.comm.bytes_sent += bytes;
     Ok(())
 }
 
@@ -856,9 +859,9 @@ fn local_recv<P: RankProgram>(
     match_mailbox(&mut slot.mailbox, src, tag, cfg.spec.max_attempts)
 }
 
-/// First-match extraction from a mailbox, mirroring v1's buffering: the
-/// earliest-arrived packet with matching `(src, tag)` wins; a loss
-/// tombstone surfaces as the sender's timeout.
+/// First-match extraction from a mailbox: the earliest-arrived packet
+/// with matching `(src, tag)` wins; a loss tombstone surfaces as the
+/// sender's timeout.
 fn match_mailbox(
     mailbox: &mut VecDeque<SimPacket>,
     src: usize,
@@ -882,7 +885,7 @@ fn match_mailbox(
 }
 
 /// Complete a collective centrally: canonical rank-order values plus
-/// per-rank stats charged from the exact message schedule v1 executes.
+/// per-rank stats charged from the collective's message schedule.
 /// Returns `(rank, reply)` pairs in ascending rank order.
 fn complete_collective<P: RankProgram>(
     cfg: &SimConfig,
@@ -958,7 +961,7 @@ fn complete_collective<P: RankProgram>(
                 })
                 .collect();
             let n = participants.len();
-            // v1 charges: at step s, rank r forwards the frame that
+            // Ring allgather: at step s, rank r forwards the frame that
             // originated at rank (r − s) mod n — origin rank id plus
             // the origin's body.
             for (i, &r) in participants.iter().enumerate() {
@@ -981,8 +984,8 @@ fn complete_collective<P: RankProgram>(
                 Some(Op::Broadcast { data, .. }) => data.clone(),
                 _ => unreachable!("root participates"),
             };
-            // v1 charges the binomial-tree schedule: each rank sends
-            // `data` once per child.
+            // Binomial-tree schedule: each rank sends `data` once per
+            // child.
             let bytes = (data.len() * 8) as u64;
             for &r in &participants {
                 let children = binomial_children(r, *root, n);
@@ -1031,7 +1034,7 @@ fn complete_collective<P: RankProgram>(
             let windows: Vec<Arc<RwLock<Vec<f64>>>> = (0..n)
                 .map(|_| Arc::new(RwLock::new(vec![0.0; *len])))
                 .collect();
-            // v1's ring circulation sends one origin-id frame per step.
+            // Charged as a ring circulating one origin-id frame per step.
             charge_all(slots, &participants, (n - 1) as u64, (n - 1) as u64 * 8);
             participants
                 .iter()
@@ -1051,11 +1054,10 @@ fn complete_collective<P: RankProgram>(
 
 /// Simulate the faulty dissemination/ring schedule for barrier
 /// (`value: None`) or sum allreduce (`value: Some`): every scheduled
-/// message replays v1's seeded draws in v1's per-rank order, charging
-/// drop/retry/backoff/delay to the sending rank. A rank stops at its
-/// first failure exactly like v1 (`?` propagation); a message that
-/// exhausts retries fails *all* participants deterministically (v1
-/// deadlocks here — the documented divergence).
+/// message makes its seeded draws in per-round, per-rank order, charging
+/// drop/retry/backoff/delay to the sending rank. A rank stops sending at
+/// its first failure; a message that exhausts retries fails *all*
+/// participants deterministically.
 fn faulty_dissemination<P: RankProgram>(
     cfg: &SimConfig,
     participants: &[usize],
@@ -1064,9 +1066,9 @@ fn faulty_dissemination<P: RankProgram>(
 ) -> Vec<(usize, Reply)> {
     use crate::tags::{self, ctag};
     let n = participants.len();
-    let spec = &cfg.spec;
+    let bytes = value.map_or(0, |v| (v.len() * 8) as u64);
     // Per-participant error state (first failure wins, then it stops
-    // sending, exactly like v1's early return).
+    // sending).
     let mut errors: Vec<Option<FaultError>> = vec![None; n];
     let schedule: Vec<(u64, bool)> = match value {
         // Barrier: dissemination rounds at doubling distance.
@@ -1101,44 +1103,14 @@ fn faulty_dissemination<P: RankProgram>(
             }
             let dst = participants[(i + dist) % n];
             // INFALLIBLE: participants are alive ranks with live slots.
-            let slot = slots[me].as_mut().expect("participant slot");
-            if me == dst {
-                // Single-participant degenerate case: loopback delivers.
-                slot.ctx.faults.delivered += 1;
-                slot.ctx.comm.messages_sent += 1;
-                slot.ctx.comm.bytes_sent += value.map_or(0, |v| (v.len() * 8) as u64);
-                sent_ok[i] = true;
-                continue;
+            let ctx = &mut slots[me].as_mut().expect("participant slot").ctx;
+            match charge_send(cfg, ctx, dst, tag, bytes) {
+                Ok(()) => sent_ok[i] = true,
+                Err(e) => {
+                    errors[i] = Some(e);
+                    expiry[i] = ctx.clock_ps;
+                }
             }
-            let mut attempt = 0u32;
-            while attempt < spec.max_attempts && attempt_lost(spec, me, dst, tag, attempt) {
-                slot.ctx.faults.drops += 1;
-                let backoff = retry_backoff_ps(spec.base_backoff_ps, attempt);
-                slot.ctx.faults.backoff_ps = slot.ctx.faults.backoff_ps.saturating_add(backoff);
-                slot.ctx.clock_ps = slot.ctx.clock_ps.saturating_add(backoff);
-                attempt += 1;
-            }
-            if attempt == spec.max_attempts {
-                slot.ctx.faults.timeouts += 1;
-                errors[i] = Some(FaultError::Timeout {
-                    peer: dst,
-                    tag,
-                    attempts: attempt,
-                    expired_at_ps: slot.ctx.clock_ps,
-                });
-                expiry[i] = slot.ctx.clock_ps;
-                continue;
-            }
-            slot.ctx.faults.retries += attempt as u64;
-            if message_delayed(spec, me, dst, tag) {
-                slot.ctx.faults.delays += 1;
-                slot.ctx.faults.delay_ps += spec.delay_ps;
-                slot.ctx.clock_ps += spec.delay_ps;
-            }
-            slot.ctx.faults.delivered += 1;
-            slot.ctx.comm.messages_sent += 1;
-            slot.ctx.comm.bytes_sent += value.map_or(0, |v| (v.len() * 8) as u64);
-            sent_ok[i] = true;
         }
         // Receive wave: a still-healthy participant observes its
         // predecessor's outcome for this round.
@@ -1154,13 +1126,12 @@ fn faulty_dissemination<P: RankProgram>(
             errors[i] = Some(FaultError::Timeout {
                 peer: from,
                 tag,
-                attempts: spec.max_attempts,
+                attempts: cfg.spec.max_attempts,
                 expired_at_ps: expiry[from_idx],
             });
         }
     }
-    // First failure in schedule order fails everyone (documented v2
-    // divergence: v1 deadlocks on a mid-collective timeout for n > 2).
+    // The first failure in schedule order fails everyone still healthy.
     let first_error = errors.iter().flatten().next().copied();
     participants
         .iter()
@@ -1179,6 +1150,18 @@ fn faulty_dissemination<P: RankProgram>(
         .collect()
 }
 
+/// Left-fold per-rank contributions as x₀ + x₁ + … + x_{P−1} — the
+/// canonical reduction order every rank observes.
+fn fold_sum_in_rank_order(contribs: &[Vec<f64>]) -> Vec<f64> {
+    let mut acc = contribs[0].clone();
+    for c in &contribs[1..] {
+        for (a, b) in acc.iter_mut().zip(c) {
+            *a += *b;
+        }
+    }
+    acc
+}
+
 /// Messages each rank sends in an `n`-rank dissemination barrier.
 fn dissemination_rounds(n: usize) -> u64 {
     let mut rounds = 0u64;
@@ -1191,7 +1174,7 @@ fn dissemination_rounds(n: usize) -> u64 {
 }
 
 /// Children of `rank` in the binomial broadcast tree rooted at `root`
-/// (v1's relative-rank/mask schedule).
+/// (MPICH's relative-rank/mask schedule).
 fn binomial_children(rank: usize, root: usize, n: usize) -> u64 {
     let relative = (rank + n - root) % n;
     let mut mask = 1usize;
@@ -1266,17 +1249,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_and_allreduce_match_v1_bitwise() {
+    fn ring_and_allreduce_match_the_closure_front_end_bitwise() {
         for n in [1usize, 2, 3, 7, 8, 16] {
-            let v1 = run(n, |mut c| {
+            let closure = run(n, |mut c| {
                 if n > 1 {
                     c.send((c.rank() + 1) % n, 7, vec![c.rank() as f64]);
                     let _ = c.recv((c.rank() + n - 1) % n, 7);
                 }
                 c.allreduce_sum(&[probe(c.rank())])
             });
-            let v2 = run_events(n, |r, s| ring_script(r, s));
-            for (rank, (a, b)) in v1.iter().zip(&v2).enumerate() {
+            let programs = run_events(n, ring_script);
+            for (rank, (a, b)) in closure.iter().zip(&programs).enumerate() {
                 let got = reduced(b.last().expect("allreduce reply"));
                 assert_eq!(
                     a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1288,7 +1271,7 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_is_bit_identical_across_ranks_on_v2() {
+    fn allreduce_is_bit_identical_across_ranks() {
         for n in [2usize, 3, 7, 8] {
             let results = run_events(n, |rank, _| {
                 ScriptProgram::new(vec![Op::AllreduceSum {
@@ -1411,7 +1394,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_tags_are_buffered_like_v1() {
+    fn out_of_order_tags_are_buffered() {
         let results = run_events(2, |rank, _| {
             if rank == 0 {
                 ScriptProgram::new(vec![

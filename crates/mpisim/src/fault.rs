@@ -16,23 +16,26 @@
 //!   backoff (`base_backoff_ps << attempt`); after `max_attempts` losses
 //!   it gives up, charges the accumulated backoff to its simulated
 //!   clock, and delivers a loss *tombstone* so the receiver observes
-//!   [`FaultError::Timeout`] instead of deadlocking.
+//!   [`FaultError::Timeout`] instead of deadlocking. A collective whose
+//!   message times out fails every participant with the first timeout
+//!   in schedule order.
 //! * **Message delay** — a delivered message is late with probability
 //!   `delay_per_mille / 1000`, charging `delay_ps` to the sender's
 //!   simulated clock.
-//! * **Rank failure** — ranks in `failed_ranks` never execute. Their
-//!   channel endpoints stay open as blackholes, sends toward them fail
+//! * **Rank failure** — ranks in `failed_ranks` never execute. Traffic
+//!   toward them is blackholed, sends and receives naming them fail
 //!   fast with [`FaultError::RankFailed`], and the survivor-only
 //!   collectives ([`FaultyComm::allreduce_sum`], [`FaultyComm::barrier`])
 //!   run over the remaining ranks.
 //!
-//! Retry/drop/timeout counters accumulate in [`FaultStats`] per rank and
-//! report into `pvs-obs` via [`FaultStats::record_to`].
+//! The draws and charges are made by the event scheduler
+//! ([`crate::event`]); [`FaultyComm`] is the blocking closure front end
+//! on it. Retry/drop/timeout counters accumulate in [`FaultStats`] per
+//! rank and report into `pvs-obs` via [`FaultStats::record_to`].
 
-use crate::comm::{fold_sum_in_rank_order, Comm, CommStats};
-use crate::tags::{self, assert_user_tag, ctag};
+use crate::comm::{launch, unexpected, CommStats, Link};
+use crate::event::{EventSim, Op, Reply};
 use pvs_core::SplitMix64;
-use std::sync::mpsc::channel;
 
 /// Simulated backoff before retry `attempt` (0-based): `base << attempt`,
 /// saturating at `u64::MAX` instead of overflowing — a large configured
@@ -217,9 +220,8 @@ impl std::fmt::Display for FaultError {
 
 /// One deterministic per-mille draw for a message coordinate. Seeded
 /// hashing via [`SplitMix64`] so the decision depends on every field but
-/// on no global state — a free function shared by the thread-backed
-/// runtime and the event-driven scheduler, which must reproduce the same
-/// decisions bit-for-bit.
+/// on no global state — the same message makes the same decision in any
+/// schedule and at any host thread count.
 fn fault_draw(seed: u64, kind: u64, src: usize, dst: usize, tag: u64, attempt: u32) -> u32 {
     let mut h = SplitMix64::new(seed ^ kind).next_u64();
     for v in [src as u64, dst as u64, tag, attempt as u64] {
@@ -240,31 +242,27 @@ pub(crate) fn message_delayed(spec: &FaultSpec, src: usize, dst: usize, tag: u64
         && fault_draw(spec.seed, 0xDE1A_DE1A, src, dst, tag, 0) < spec.delay_per_mille
 }
 
-/// A rank endpoint with fault injection on every send.
-///
-/// Wraps the healthy [`Comm`]; all decisions are deterministic functions
-/// of the [`FaultSpec`] and the message coordinates.
+/// A rank endpoint with fault injection on every send: the faulty
+/// counterpart of [`crate::Comm`], run by [`run_faulty`].
 pub struct FaultyComm {
-    inner: Comm,
-    spec: FaultSpec,
-    stats: FaultStats,
-    clock_ps: u64,
+    link: Link,
+    failed: Vec<usize>,
 }
 
 impl FaultyComm {
     /// This rank's id in `[0, size)`.
     pub fn rank(&self) -> usize {
-        self.inner.rank()
+        self.link.ctx().rank
     }
 
     /// Number of ranks, failed ones included.
     pub fn size(&self) -> usize {
-        self.inner.size()
+        self.link.ctx().size
     }
 
     /// Whether `rank` is still executing.
     pub fn alive(&self, rank: usize) -> bool {
-        !self.spec.failed_ranks.contains(&rank)
+        !self.failed.contains(&rank)
     }
 
     /// The surviving ranks, in rank order.
@@ -274,159 +272,73 @@ impl FaultyComm {
 
     /// Fault accounting so far for this rank.
     pub fn fault_stats(&self) -> FaultStats {
-        self.stats
+        self.link.ctx().faults
     }
 
     /// Healthy-layer traffic statistics (delivered messages only).
     pub fn comm_stats(&self) -> CommStats {
-        self.inner.stats()
+        self.link.ctx().comm
     }
 
     /// This rank's simulated clock: total backoff + delay charged so far.
     pub fn clock_ps(&self) -> u64 {
-        self.clock_ps
-    }
-
-    fn attempt_lost(&self, dst: usize, tag: u64, attempt: u32) -> bool {
-        attempt_lost(&self.spec, self.rank(), dst, tag, attempt)
-    }
-
-    fn message_delayed(&self, dst: usize, tag: u64) -> bool {
-        message_delayed(&self.spec, self.rank(), dst, tag)
+        self.link.ctx().clock_ps
     }
 
     /// Send `data` to rank `dst`, retrying dropped attempts with
     /// exponential backoff. On timeout a tombstone is delivered so the
     /// receiver unblocks with the same [`FaultError::Timeout`]. The tag
-    /// must keep [`tags::COLLECTIVE_BIT`] clear.
+    /// must keep [`crate::tags::COLLECTIVE_BIT`] clear.
     pub fn send(&mut self, dst: usize, tag: u64, data: Vec<f64>) -> Result<(), FaultError> {
-        assert_user_tag(tag);
-        self.send_raw(dst, tag, data)
-    }
-
-    /// Tag-unchecked faulty send used by the survivor collectives.
-    fn send_raw(&mut self, dst: usize, tag: u64, data: Vec<f64>) -> Result<(), FaultError> {
-        if !self.alive(dst) {
-            return Err(FaultError::RankFailed { rank: dst });
+        match self.link.call(Op::Send { dst, tag, data }) {
+            Reply::Sent(result) => result,
+            other => unexpected(other),
         }
-        // Loopback traffic never leaves the rank; it cannot be dropped.
-        let mut attempt = 0u32;
-        if dst != self.rank() {
-            while attempt < self.spec.max_attempts && self.attempt_lost(dst, tag, attempt) {
-                self.stats.drops += 1;
-                let backoff = retry_backoff_ps(self.spec.base_backoff_ps, attempt);
-                self.stats.backoff_ps = self.stats.backoff_ps.saturating_add(backoff);
-                self.clock_ps = self.clock_ps.saturating_add(backoff);
-                attempt += 1;
-            }
-            if attempt == self.spec.max_attempts {
-                self.stats.timeouts += 1;
-                self.inner.send_lost(dst, tag, self.clock_ps);
-                return Err(FaultError::Timeout {
-                    peer: dst,
-                    tag,
-                    attempts: attempt,
-                    expired_at_ps: self.clock_ps,
-                });
-            }
-            self.stats.retries += attempt as u64;
-            if self.message_delayed(dst, tag) {
-                self.stats.delays += 1;
-                self.stats.delay_ps += self.spec.delay_ps;
-                self.clock_ps += self.spec.delay_ps;
-            }
-        }
-        self.stats.delivered += 1;
-        self.inner.send_raw(dst, tag, data);
-        Ok(())
     }
 
     /// Receive from `src`. Fails fast if `src` is dead; surfaces the
     /// sender's timeout (with the sender's deterministic expiry time) if
     /// every attempt of the matching message was dropped.
     pub fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, FaultError> {
-        assert_user_tag(tag);
-        self.recv_raw(src, tag)
-    }
-
-    /// Tag-unchecked faulty receive used by the survivor collectives.
-    fn recv_raw(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, FaultError> {
-        if !self.alive(src) {
-            return Err(FaultError::RankFailed { rank: src });
-        }
-        match self.inner.recv_or_lost(src, tag) {
-            Ok(d) => Ok(d),
-            Err(expired_at_ps) => Err(FaultError::Timeout {
-                peer: src,
-                tag,
-                attempts: self.spec.max_attempts,
-                expired_at_ps,
-            }),
+        match self.link.call(Op::Recv { src, tag }) {
+            Reply::Received(result) => result,
+            other => unexpected(other),
         }
     }
 
     /// Combined send + receive with the same partner.
-    pub fn sendrecv(&mut self, partner: usize, tag: u64, data: Vec<f64>) -> Result<Vec<f64>, FaultError> {
-        assert_user_tag(tag);
-        if partner == self.rank() {
-            return Ok(data);
+    pub fn sendrecv(
+        &mut self,
+        partner: usize,
+        tag: u64,
+        data: Vec<f64>,
+    ) -> Result<Vec<f64>, FaultError> {
+        match self.link.call(Op::Sendrecv { partner, tag, data }) {
+            Reply::Exchanged(result) => result,
+            other => unexpected(other),
         }
-        self.send_raw(partner, tag, data)?;
-        self.recv_raw(partner, tag)
     }
 
-    /// Index of this rank within the survivor list. Panics if called from
-    /// a failed rank — failed ranks never execute, so this is unreachable
-    /// under [`run_faulty`].
-    fn survivor_index(&self, survivors: &[usize]) -> usize {
-        survivors
-            .iter()
-            .position(|&r| r == self.rank())
-            .expect("collective called from a failed rank")
-    }
-
-    /// Dissemination barrier over the surviving ranks.
+    /// Barrier over the surviving ranks (a dissemination schedule whose
+    /// every message draws its own faults).
     pub fn barrier(&mut self) -> Result<(), FaultError> {
-        let survivors = self.alive_ranks();
-        let n = survivors.len();
-        let me = self.survivor_index(&survivors);
-        let mut round = 0u64;
-        let mut dist = 1;
-        while dist < n {
-            let to = survivors[(me + dist) % n];
-            let from = survivors[(me + n - dist) % n];
-            let tag = ctag(tags::NS_FAULTY_BARRIER, round);
-            self.send_raw(to, tag, Vec::new())?;
-            self.recv_raw(from, tag)?;
-            dist *= 2;
-            round += 1;
+        match self.link.call(Op::Barrier) {
+            Reply::BarrierDone(result) => result,
+            other => unexpected(other),
         }
-        Ok(())
     }
 
-    /// Element-wise sum allreduce over the surviving ranks: a
-    /// gather-to-all ring folded in **canonical survivor order** (the
-    /// packet received at step `s` originated at
-    /// `survivors[(me − s − 1) mod n]`), so every survivor returns the
-    /// bitwise identical result regardless of ring position — same fix as
-    /// [`Comm::allreduce_sum`].
+    /// Element-wise sum allreduce over the surviving ranks, folded in
+    /// **canonical survivor order** so every survivor returns the bitwise
+    /// identical result (a gather-to-all ring whose every message draws
+    /// its own faults).
     pub fn allreduce_sum(&mut self, data: &[f64]) -> Result<Vec<f64>, FaultError> {
-        let survivors = self.alive_ranks();
-        let n = survivors.len();
-        let me = self.survivor_index(&survivors);
-        let mut contribs: Vec<Vec<f64>> = vec![Vec::new(); n];
-        contribs[me] = data.to_vec();
-        let mut travelling = data.to_vec();
-        for step in 0..n.saturating_sub(1) {
-            let to = survivors[(me + 1) % n];
-            let from = survivors[(me + n - 1) % n];
-            let tag = ctag(tags::NS_FAULTY_ALLREDUCE, step as u64);
-            self.send_raw(to, tag, travelling)?;
-            travelling = self.recv_raw(from, tag)?;
-            let origin = (me + n - step - 1) % n;
-            contribs[origin] = travelling.clone();
+        match self.link.call(Op::AllreduceSum {
+            data: data.to_vec(),
+        }) {
+            Reply::Reduced(result) => result,
+            other => unexpected(other),
         }
-        Ok(fold_sum_in_rank_order(&contribs))
     }
 
     /// Scalar sum allreduce over the surviving ranks.
@@ -484,62 +396,20 @@ pub fn total_fault_stats<T>(outcomes: &[RankOutcome<T>]) -> FaultStats {
 }
 
 /// Launch `nranks` endpoints under fault injection. Surviving ranks run
-/// `f` on their own thread; failed ranks never execute, but their channel
-/// endpoints are kept open as blackholes so in-flight traffic toward them
-/// is absorbed rather than erroring. Results come back in rank order.
+/// `f` on their own thread; failed ranks never execute and traffic
+/// toward them is blackholed. Results come back in rank order.
 pub fn run_faulty<T, F>(nranks: usize, spec: FaultSpec, f: F) -> Vec<RankOutcome<T>>
 where
     T: Send,
     F: Fn(&mut FaultyComm) -> T + Send + Sync,
 {
-    assert!(nranks >= 1);
-    assert!(spec.max_attempts >= 1, "at least one send attempt");
-    let alive = (0..nranks).filter(|r| !spec.failed_ranks.contains(r)).count();
-    assert!(alive >= 1, "at least one rank must survive");
-    let mut senders = Vec::with_capacity(nranks);
-    let mut receivers = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (s, r) = channel();
-        senders.push(s);
-        receivers.push(r);
-    }
-    let f = &f;
-    let spec = &spec;
-    let senders = &senders;
-    // Receivers of failed ranks are parked here, keeping the channels
-    // open (a dead node's NIC still sinks packets) until the scope ends.
-    let mut blackholes = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, receiver) in receivers.into_iter().enumerate() {
-            if spec.failed_ranks.contains(&rank) {
-                blackholes.push(receiver);
-                handles.push(None);
-                continue;
-            }
-            handles.push(Some(scope.spawn(move || {
-                let mut fc = FaultyComm {
-                    inner: Comm::endpoint(rank, nranks, senders.clone(), receiver),
-                    spec: spec.clone(),
-                    stats: FaultStats::default(),
-                    clock_ps: 0,
-                };
-                let value = f(&mut fc);
-                (value, fc.stats)
-            })));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h {
-                None => RankOutcome::Failed,
-                Some(h) => {
-                    // INFALLIBLE: injected faults surface as FaultError
-                    // values, never panics; a panic is a bug to re-raise.
-                    let (value, faults) = h.join().expect("rank panicked");
-                    RankOutcome::Completed { value, faults }
-                }
-            })
-            .collect()
+    let failed = spec.failed_ranks.clone();
+    let sim = EventSim::new(nranks).faults(spec);
+    launch(sim, |link| {
+        f(&mut FaultyComm {
+            link,
+            failed: failed.clone(),
+        })
     })
 }
 
@@ -801,14 +671,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved collective bit")]
     fn reserved_tags_are_rejected_in_faulty_mode() {
-        let (s, r) = channel();
-        let mut fc = FaultyComm {
-            inner: Comm::endpoint(0, 1, vec![s], r),
-            spec: FaultSpec::healthy(),
-            stats: FaultStats::default(),
-            clock_ps: 0,
-        };
-        let _ = fc.send(0, tags::COLLECTIVE_BIT | 1, vec![1.0]);
+        run_faulty(1, FaultSpec::healthy(), |c| {
+            let _ = c.send(0, crate::tags::COLLECTIVE_BIT | 1, vec![1.0]);
+        });
+    }
+
+    #[test]
+    fn total_loss_allreduce_fails_every_rank_instead_of_hanging() {
+        // 100% drop: every ring message exhausts its retries. Every rank
+        // gets a structured timeout instead of blocking on a predecessor
+        // that stopped forwarding.
+        let spec = FaultSpec::healthy().with_seed(2).drop_per_mille(1000);
+        let outcomes = run_faulty(4, spec, |c| c.allreduce_sum(&[1.0]));
+        for (r, o) in outcomes.iter().enumerate() {
+            assert!(
+                matches!(
+                    o.value(),
+                    Some(Err(FaultError::Timeout { attempts: 4, .. }))
+                ),
+                "rank {r}: {o:?}"
+            );
+        }
     }
 
     #[test]

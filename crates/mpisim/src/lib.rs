@@ -1,18 +1,27 @@
-//! # pvs-mpisim — a message-passing runtime on threads
+//! # pvs-mpisim — a message-passing runtime for the PVS applications
 //!
 //! The four applications of the SC 2004 study are distributed-memory MPI
 //! codes (LBMHD additionally has a Co-array Fortran port). This crate
-//! provides the runtime they run on in this reproduction: ranks are OS
-//! threads, messages are typed packets over `std::sync::mpsc` channels,
-//! and the one-sided (CAF/SHMEM-style) layer exposes remote windows
-//! through shared memory (`std::sync::RwLock`) — the same semantics
-//! hardware-supported globally addressable memory gives the X1. The whole
-//! runtime is standard library only, so it builds with no network access.
+//! provides the runtime they run on in this reproduction. One
+//! event-driven scheduler implements message matching, collectives,
+//! traffic charging and fault injection; ranks reach it through two
+//! front ends:
 //!
-//! * [`comm`]: two-sided primitives (`send`/`recv` with tag matching and
-//!   out-of-order buffering), collectives (barrier, allreduce, gather,
-//!   broadcast, all-to-all), and traffic statistics used to calibrate the
-//!   performance model's communication phases;
+//! * closures ([`run`], [`run_faulty`]): each rank is ordinary blocking
+//!   code on its own OS thread, and every call posts an [`Op`] and waits
+//!   for its [`Reply`]. The real application kernels use this form;
+//! * [`RankProgram`] continuations ([`EventSim`], [`run_events`]): each
+//!   rank is an explicit state machine parked in a few hundred bytes,
+//!   so 10⁵ ranks need no 10⁵ OS threads. The weak-scaling skeletons
+//!   use this form.
+//!
+//! Both produce the same values, traffic and fault accounting.
+//!
+//! * [`comm`]: the closure front end — two-sided `send`/`recv` with
+//!   tag matching and out-of-order buffering, collectives (barrier,
+//!   allreduce, gather, broadcast, all-to-all), and the traffic
+//!   statistics that calibrate the performance model's communication
+//!   phases;
 //! * [`caf`]: co-array style one-sided windows (`put`/`get` into remote
 //!   rank memory) mirroring LBMHD's CAF port;
 //! * [`cart`]: cartesian process-grid helpers (2D/3D decompositions and
@@ -21,20 +30,14 @@
 //!   drop/delay decisions, exponential backoff in simulated picoseconds,
 //!   timeouts, rank failure with survivor-only collectives, and retry
 //!   counters reported through `pvs-obs`;
-//! * [`event`]: the event-driven runtime (v2) — virtual ranks as
-//!   continuation-style [`RankProgram`]s multiplexed on the shared
-//!   `pvs_core::ThreadPool`, scheduled by the simulated-picosecond
-//!   event core, bit-identical to the thread-backed runtime and able to
-//!   simulate 10⁵+ ranks without 10⁵ OS threads;
-//! * [`tags`]: the collective tag namespace — the top tag bit is
-//!   reserved so user traffic can never collide with a collective's
-//!   internal messages.
+//! * [`event`]: the scheduler — ranks multiplexed on the shared
+//!   `pvs_core::ThreadPool` in deterministic supersteps ordered by the
+//!   simulated-picosecond event core;
+//! * [`tags`]: the reserved tag bit — application tags keep the top bit
+//!   clear, so they can never collide with the runtime's own.
 //!
-//! Two runtimes, one semantics: [`run`] spawns a thread per rank (v1,
-//! natural closures, bounded P), [`EventSim`]/[`run_events`] schedules
-//! parked continuations (v2, explicit state machines, P bounded by
-//! memory). The conformance suite pins them bit-identical on values and
-//! traffic statistics for every collective.
+//! The whole runtime is standard library only, so it builds with no
+//! network access.
 //!
 //! ## Example
 //!

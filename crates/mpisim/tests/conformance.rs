@@ -1,19 +1,17 @@
-//! v1 ↔ v2 conformance: the thread-backed runtime (`run`/`run_faulty`)
-//! and the event-driven runtime (`EventSim`) must agree **bit-for-bit**
-//! on every value and every statistic, at every rank count, in healthy
-//! and faulty regimes alike. These tests are the gate that lets the
-//! scale harness trust v2 at rank counts v1 cannot reach.
+//! Closure front end ≡ `RankProgram`: the same program written as a
+//! `run`/`run_faulty` closure and as a `ScriptProgram` op list must agree
+//! **bit-for-bit** on every value, traffic statistic, fault counter and
+//! simulated clock, at every rank count, in healthy and faulty regimes.
+//! Both forms run on the one event scheduler; these tests pin the
+//! closure adapter (op posting, reply unpacking, per-rank context) to
+//! the programs the scale harness runs at rank counts no thread-per-rank
+//! front end can reach.
 //!
-//! Faulty *collective* regimes are restricted to retry-succeeds seeds:
-//! on a mid-collective timeout v1's ring deadlocks (the erroring rank
-//! stops forwarding), while v2 fails all participants deterministically
-//! — the one documented divergence. The tests assert the chosen seeds
-//! actually produce zero timeouts so a bad seed fails loudly instead of
-//! hanging the v1 side.
+//! Faulty collective regimes include retry exhaustion: a timed-out ring
+//! message fails every participant with a structured error in both
+//! forms.
 
-use pvs_mpisim::{
-    run, run_faulty, CommStats, EventSim, FaultSpec, Op, Reply, ScriptProgram,
-};
+use pvs_mpisim::{run, run_faulty, CommStats, EventSim, FaultSpec, Op, Reply, ScriptProgram};
 
 const SWEEP_P: [usize; 4] = [1, 2, 4, 16];
 
@@ -32,8 +30,8 @@ fn spec_with(seed: u64, drop: u32, max_attempts: u32, delay: u32) -> FaultSpec {
     spec
 }
 
-/// Flatten a v2 reply stream into the same `Vec<Vec<f64>>` shape the v1
-/// closure records, panicking on any fault in a healthy run.
+/// Flatten a program's reply stream into the same `Vec<Vec<f64>>` shape
+/// the closure records, panicking on any fault in a healthy run.
 fn flatten_replies(replies: &[Reply]) -> Vec<Vec<f64>> {
     let mut out = Vec::new();
     for reply in replies {
@@ -55,13 +53,13 @@ fn bits(vals: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Every collective plus both p2p shapes, v1 and v2, all rank counts:
+/// Every collective plus both p2p shapes, in both forms, all rank counts:
 /// values and per-rank traffic statistics must match bitwise.
 #[test]
 fn healthy_sweep_is_bit_exact() {
     for n in SWEEP_P {
         let bcast_root = n - 1;
-        let v1: Vec<(Vec<Vec<f64>>, CommStats)> = run(n, move |mut c| {
+        let closure: Vec<(Vec<Vec<f64>>, CommStats)> = run(n, move |mut c| {
             let rank = c.rank();
             let r = rank as f64;
             let mut out: Vec<Vec<f64>> = Vec::new();
@@ -131,12 +129,16 @@ fn healthy_sweep_is_bit_exact() {
             ScriptProgram::new(ops)
         });
         for rank in 0..n {
-            let (v1_vals, v1_stats) = &v1[rank];
+            let (closure_vals, closure_stats) = &closure[rank];
             let replies = report.outcomes[rank].value().expect("completed");
-            let v2_vals = flatten_replies(replies);
-            assert_eq!(bits(v1_vals), bits(&v2_vals), "values n={n} rank={rank}");
+            let program_vals = flatten_replies(replies);
             assert_eq!(
-                Some(*v1_stats),
+                bits(closure_vals),
+                bits(&program_vals),
+                "values n={n} rank={rank}"
+            );
+            assert_eq!(
+                Some(*closure_stats),
                 report.comm_stats[rank],
                 "traffic n={n} rank={rank}"
             );
@@ -159,7 +161,7 @@ fn faulty_p2p_drop_delay_and_timeout_paths_are_bit_exact() {
     ];
     for spec in regimes {
         for n in [2usize, 4] {
-            let v1 = {
+            let closure = {
                 let spec = spec.clone();
                 run_faulty(n, spec, |c| {
                     let rank = c.rank();
@@ -191,14 +193,18 @@ fn faulty_p2p_drop_delay_and_timeout_paths_are_bit_exact() {
                     });
                 }
                 if rank > 0 {
-                    ops.push(Op::Recv { src: rank - 1, tag: 6 });
+                    ops.push(Op::Recv {
+                        src: rank - 1,
+                        tag: 6,
+                    });
                 }
                 ScriptProgram::new(ops)
             });
             for rank in 0..n {
-                let (v1_log, v1_comm, v1_clock) = v1[rank].value().expect("v1 completed");
-                let replies = report.outcomes[rank].value().expect("v2 completed");
-                let v2_log: Vec<String> = replies
+                let (closure_log, closure_comm, closure_clock) =
+                    closure[rank].value().expect("closure completed");
+                let replies = report.outcomes[rank].value().expect("program completed");
+                let program_log: Vec<String> = replies
                     .iter()
                     .map(|reply| match reply {
                         Reply::Exchanged(res) => format!("{res:?}"),
@@ -208,28 +214,36 @@ fn faulty_p2p_drop_delay_and_timeout_paths_are_bit_exact() {
                     })
                     .collect();
                 let ctx = format!("seed={} n={n} rank={rank}", spec.seed);
-                assert_eq!(v1_log, &v2_log, "results {ctx}");
+                assert_eq!(closure_log, &program_log, "results {ctx}");
                 assert_eq!(
-                    v1[rank].faults(),
+                    closure[rank].faults(),
                     report.outcomes[rank].faults(),
                     "fault stats {ctx}"
                 );
-                assert_eq!(Some(*v1_comm), report.comm_stats[rank], "traffic {ctx}");
-                assert_eq!(*v1_clock, report.clocks_ps[rank], "clock {ctx}");
+                assert_eq!(
+                    Some(*closure_comm),
+                    report.comm_stats[rank],
+                    "traffic {ctx}"
+                );
+                assert_eq!(*closure_clock, report.clocks_ps[rank], "clock {ctx}");
             }
         }
     }
 }
 
-/// Faulty collectives (barrier + survivor allreduce) in retry-succeeds
-/// regimes, with and without failed ranks: values, fault accounting,
-/// and clocks must match bitwise.
+/// Faulty collectives (barrier + survivor allreduce), with and without
+/// failed ranks, in regimes where retries succeed and where they run
+/// out: results (errors included), fault accounting, traffic and clocks
+/// must match bitwise.
 #[test]
-fn faulty_collectives_with_retries_are_bit_exact() {
+fn faulty_collectives_are_bit_exact() {
     let cases = [
         (4usize, spec_with(3, 300, 64, 0)),
         (16, spec_with(11, 250, 64, 500)),
         (5, spec_with(9, 300, 64, 0).fail_rank(1).fail_rank(3)),
+        // Retries run out: every participant fails with a timeout.
+        (4, spec_with(7, 1000, 3, 0)),
+        (6, spec_with(5, 600, 2, 300)),
     ];
     for (n, spec) in cases {
         let report = EventSim::new(n).faults(spec.clone()).run(|rank, _| {
@@ -240,57 +254,55 @@ fn faulty_collectives_with_retries_are_bit_exact() {
                 },
             ])
         });
-        // Guard: the seed must keep every retry under budget, otherwise
-        // the v1 ring below would deadlock instead of failing the test.
-        for outcome in &report.outcomes {
-            if let Some(f) = outcome.faults() {
-                assert_eq!(f.timeouts, 0, "pick a retry-succeeds seed (n={n})");
-            }
-        }
-        let v1 = {
-            let spec = spec.clone();
-            run_faulty(n, spec, |c| {
-                c.barrier().expect("barrier survives retries");
-                let v = c
-                    .allreduce_sum(&[probe(c.rank()), 0.5])
-                    .expect("allreduce survives retries");
-                (v, c.comm_stats(), c.clock_ps())
-            })
-        };
+        let closure = run_faulty(n, spec.clone(), |c| {
+            let log = vec![
+                format!("{:?}", c.barrier()),
+                format!("{:?}", c.allreduce_sum(&[probe(c.rank()), 0.5])),
+            ];
+            (log, c.comm_stats(), c.clock_ps())
+        });
         for rank in 0..n {
             let ctx = format!("seed={} n={n} rank={rank}", spec.seed);
-            match (v1[rank].value(), report.outcomes[rank].value()) {
-                (None, None) => {} // failed rank in both runtimes
-                (Some((v1_vals, v1_comm, v1_clock)), Some(replies)) => {
-                    let v2_vals = match replies.as_slice() {
-                        [Reply::BarrierDone(Ok(())), Reply::Reduced(Ok(v))] => v,
-                        other => panic!("unexpected replies {ctx}: {other:?}"),
-                    };
+            match (closure[rank].value(), report.outcomes[rank].value()) {
+                (None, None) => {} // failed rank in both forms
+                (Some((closure_log, closure_comm, closure_clock)), Some(replies)) => {
+                    let program_log: Vec<String> = replies
+                        .iter()
+                        .map(|reply| match reply {
+                            Reply::BarrierDone(res) => format!("{res:?}"),
+                            Reply::Reduced(res) => format!("{res:?}"),
+                            other => panic!("unexpected reply {ctx}: {other:?}"),
+                        })
+                        .collect();
+                    assert_eq!(closure_log, &program_log, "results {ctx}");
                     assert_eq!(
-                        v1_vals.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        v2_vals.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "values {ctx}"
-                    );
-                    assert_eq!(
-                        v1[rank].faults(),
+                        closure[rank].faults(),
                         report.outcomes[rank].faults(),
                         "fault stats {ctx}"
                     );
-                    assert_eq!(Some(*v1_comm), report.comm_stats[rank], "traffic {ctx}");
-                    assert_eq!(*v1_clock, report.clocks_ps[rank], "clock {ctx}");
+                    assert_eq!(
+                        Some(*closure_comm),
+                        report.comm_stats[rank],
+                        "traffic {ctx}"
+                    );
+                    assert_eq!(*closure_clock, report.clocks_ps[rank], "clock {ctx}");
                 }
-                (a, b) => panic!("survivor mismatch {ctx}: v1={} v2={}", a.is_some(), b.is_some()),
+                (a, b) => panic!(
+                    "survivor mismatch {ctx}: closure={} program={}",
+                    a.is_some(),
+                    b.is_some()
+                ),
             }
         }
     }
 }
 
-/// Sends toward a failed rank fail fast identically in both runtimes.
+/// Sends toward a failed rank fail fast identically in both forms.
 #[test]
 fn rank_failure_fail_fast_is_bit_exact() {
     let spec = FaultSpec::healthy().fail_rank(2);
     let n = 4;
-    let v1 = run_faulty(n, spec.clone(), |c| {
+    let closure = run_faulty(n, spec.clone(), |c| {
         let mut log = Vec::new();
         log.push(format!("{:?}", c.send(2, 9, vec![1.0])));
         log.push(format!("{:?}", c.recv(2, 9)));
@@ -307,9 +319,10 @@ fn rank_failure_fail_fast_is_bit_exact() {
         ])
     });
     for rank in [0usize, 1, 3] {
-        let (v1_log, v1_comm, v1_clock) = v1[rank].value().expect("v1 completed");
-        let replies = report.outcomes[rank].value().expect("v2 completed");
-        let v2_log: Vec<String> = replies
+        let (closure_log, closure_comm, closure_clock) =
+            closure[rank].value().expect("closure completed");
+        let replies = report.outcomes[rank].value().expect("program completed");
+        let program_log: Vec<String> = replies
             .iter()
             .map(|reply| match reply {
                 Reply::Sent(res) => format!("{res:?}"),
@@ -317,11 +330,15 @@ fn rank_failure_fail_fast_is_bit_exact() {
                 other => panic!("unexpected reply: {other:?}"),
             })
             .collect();
-        assert_eq!(v1_log, &v2_log, "rank {rank}");
-        assert_eq!(v1[rank].faults(), report.outcomes[rank].faults(), "rank {rank}");
-        assert_eq!(Some(*v1_comm), report.comm_stats[rank], "rank {rank}");
-        assert_eq!(*v1_clock, report.clocks_ps[rank], "rank {rank}");
+        assert_eq!(closure_log, &program_log, "rank {rank}");
+        assert_eq!(
+            closure[rank].faults(),
+            report.outcomes[rank].faults(),
+            "rank {rank}"
+        );
+        assert_eq!(Some(*closure_comm), report.comm_stats[rank], "rank {rank}");
+        assert_eq!(*closure_clock, report.clocks_ps[rank], "rank {rank}");
     }
-    assert!(v1[2].value().is_none());
+    assert!(closure[2].value().is_none());
     assert!(report.outcomes[2].value().is_none());
 }

@@ -1,4 +1,4 @@
-//! Weak-scaling communication kernel for PARATEC on both mpisim runtimes.
+//! Weak-scaling communication kernel for PARATEC on both mpisim front ends.
 //!
 //! PARATEC's 3D FFTs transpose the wavefunction grid between
 //! G-space slabs and real-space planes: every rank exchanges a distinct
@@ -6,7 +6,7 @@
 //! what makes PARATEC the most communication-bound of the four codes).
 //! The kernel is one personalized all-to-all followed by an allgather
 //! of per-rank norms and the energy allreduce — the fixed schedule is a
-//! [`ScriptProgram`], identical to the v1 closure's op sequence.
+//! [`ScriptProgram`], identical to the closure form's op sequence.
 
 use pvs_mpisim::event::{EventSim, Op, Reply, ScriptProgram, SimStats};
 use pvs_mpisim::CommStats;
@@ -62,7 +62,7 @@ fn schedule(rank: usize, size: usize) -> Vec<Op> {
     ]
 }
 
-/// Run the kernel on the thread-backed runtime.
+/// Run the kernel through the closure front end ([`pvs_mpisim::run`]).
 pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     pvs_mpisim::run(p, |mut comm| {
         let rank = comm.rank();
@@ -74,7 +74,7 @@ pub fn run_scale_v1(p: usize) -> Vec<(Vec<f64>, CommStats)> {
     })
 }
 
-/// Run the kernel on the event-driven runtime.
+/// Run the kernel as [`ScriptProgram`]s on `threads` pool workers.
 pub fn run_scale_v2(p: usize, threads: usize) -> (Vec<(Vec<f64>, CommStats)>, SimStats) {
     let report = EventSim::new(p)
         .threads(threads)
